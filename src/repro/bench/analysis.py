@@ -58,7 +58,7 @@ __all__ = [
 
 #: newest schema generation per trajectory family (the versions the
 #: benches write today; the loader accepts every generation up to it)
-SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 7}
+SCHEMA_FAMILIES = {"fastpath_walltime": 4, "dist_scaling": 8}
 
 #: config keys that must match for two fast-path records to share a
 #: trend series (problem shape + perf-relevant engine config; the
@@ -111,7 +111,8 @@ def infer_entry_schema(entry: dict, family: str) -> str:
     Entries written before the per-entry ``schema`` key existed are
     identified by the feature keys each generation introduced (the
     generations are strictly additive, so presence of the newest
-    marker key decides).
+    marker key decides).  Every entry since then declares its schema,
+    so no inference rule is needed past dist v7.
     """
     if family == "fastpath_walltime":
         if "trace" in entry:
@@ -452,7 +453,6 @@ _DIST_STAGES = (
     ("compute", "worker compute (assign)"),
     ("gather", "partial gather"),
     ("merge", "partial merge"),
-    ("combine", "pairwise combine (tree)"),
     ("update", "centroid update"),
     ("abft_check", "ABFT checksum verify"),
     ("checkpoint", "checkpoint save"),

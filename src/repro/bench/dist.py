@@ -32,19 +32,6 @@ overhead (gated by ``runner --smoke`` against the best prior same-shape
 entry), the final fleet size and the bit-identity flag against the
 single-worker fit.
 
-A **reduce run** (schema v6) measures the coordinator-occupancy
-scaling of the three reduce topologies over a widening fleet: for each
-worker count, one fit per topology (``star`` / ``stream`` / ``tree``)
-on the serial executor — arrivals are deterministic there, so the
-curve measures reduce *work*, not host thread scheduling — recording
-the coordinator's reduce-busy seconds (``dist_reduce_busy_s_``), the
-per-fit metrics delta, and the bit-identity flag.  The expected shape,
-gated by ``runner --smoke``: star's occupancy grows with the fleet
-(it re-feeds every row through the coordinator's merge each round)
-while stream hides commits behind later arrivals and tree leaves only
-a state adoption plus the inline checksum — both strictly below star
-once the fleet is wide.
-
 A **transport run** (schema v7) measures the zero-copy shared-memory
 data plane against the pickle-over-pipe baseline on the process
 executor: two otherwise identical fits at the recovery shape, one per
@@ -89,6 +76,8 @@ __all__ = ["run_dist_bench", "run_smoke", "DEFAULT_RESULT_PATH", "main"]
 #: BENCH_fastpath.json, resolved against the working directory)
 DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 
+#: v8 dropped the ``reduce`` topology-scaling record (the coordinator
+#: has one reduce, so there is no topology curve left to measure).
 #: v7 added the ``transport`` record (shared-memory vs pipe data plane
 #: on the process executor: walls, per-fit broadcast/gather pipe bytes,
 #: bytes-reduction ratios and boot/attach walls) plus ``boot_stats`` on
@@ -98,34 +87,31 @@ DEFAULT_RESULT_PATH = Path("BENCH_dist.json")
 #: per-fit metrics deltas) — gated by ``runner --smoke``.
 #: v5 added the traced crash-recovery pass (``trace`` key): the
 #: recovery fit re-run under a :class:`~repro.obs.trace.TraceRecorder`
-#: so the coordinator-side stage breakdown (gather / merge / combine /
+#: so the coordinator-side stage breakdown (gather / merge /
 #: update / abft_check / checkpoint / recovery) lands in the record and
 #: ``docs/perf.md`` regenerates from the trajectory file alone.
 #: v2 added the ``elastic`` stall-then-shrink record; v3 the
 #: ``checkpoint`` sync-vs-async overhead record; v4 the ``selfheal``
 #: kill → spawn → re-expand record
-SCHEMA = "dist_scaling/v7"
+SCHEMA = "dist_scaling/v8"
 
 #: full grid (CI-feasible, a few minutes)
 FULL_SHAPE = dict(m_grid=(60_000, 120_000), n_features=64, n_clusters=64,
-                  iters=5, workers_grid=(1, 2, 4),
-                  reduce_workers_grid=(1, 2, 4, 8, 16, 32))
+                  iters=5, workers_grid=(1, 2, 4))
 
 #: smoke/gating configuration (< 30 s wall clock)
 SMOKE_SHAPE = dict(m_grid=(16_384,), n_features=32, n_clusters=16, iters=3,
-                   workers_grid=(1, 2), reduce_workers_grid=(1, 2, 8))
+                   workers_grid=(1, 2))
 
 
 def _fit_once(x, y0, *, n_clusters, iters, workers, executor, seed,
               checkpoint_every=0, worker_faults=None, elastic=False,
               round_timeout=None, checkpoint_sync=False,
               checkpoint_dir=None, target_workers=None, hot_spares=0,
-              heartbeat_interval=None, tracer=None,
-              reduce_topology="auto", transport="auto"):
+              heartbeat_interval=None, tracer=None, transport="auto"):
     """One timed sharded (or single-worker) fit; returns (model, wall)."""
     km = FTKMeans(n_clusters=n_clusters, variant="tensorop", mode="fast",
                   n_workers=workers, tracer=tracer,
-                  reduce_topology=reduce_topology,
                   transport=transport if workers > 1 else "auto",
                   executor=executor if workers > 1 else "serial",
                   checkpoint_every=checkpoint_every if workers > 1 else 0,
@@ -148,7 +134,6 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
                    n_clusters: int = FULL_SHAPE["n_clusters"],
                    iters: int = FULL_SHAPE["iters"], *,
                    workers_grid=FULL_SHAPE["workers_grid"],
-                   reduce_workers_grid=FULL_SHAPE["reduce_workers_grid"],
                    executor: str = "thread", dtype: str = "float32",
                    seed: int = 0, checkpoint_every: int = 2,
                    round_timeout: float = 1.5,
@@ -164,9 +149,6 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
         raise ValueError(f"bad m_grid {m_grid!r}")
     if not workers_grid or min(workers_grid) < 1:
         raise ValueError(f"bad workers_grid {workers_grid!r}")
-    reduce_workers_grid = tuple(int(v) for v in reduce_workers_grid)
-    if not reduce_workers_grid or min(reduce_workers_grid) < 1:
-        raise ValueError(f"bad reduce_workers_grid {reduce_workers_grid!r}")
     rng = np.random.default_rng(seed)
 
     grid = []
@@ -478,51 +460,6 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
                                base[0].cluster_centers_)),
     }
 
-    # -- reduce topologies: coordinator occupancy over a widening fleet
-    # serial executor on purpose: arrivals are deterministic, so the
-    # occupancy ordering (star above stream/tree once the fleet is
-    # wide) measures reduce work, not host thread scheduling
-    reduce_curve = []
-    single_wall = None
-    for w in reduce_workers_grid:
-        if w <= 1:
-            _, single_wall = _fit_once(
-                x, y0, n_clusters=n_clusters, iters=iters, workers=1,
-                executor="serial", seed=seed)
-            continue
-        for topology in ("star", "stream", "tree"):
-            km_t, wall_t = _fit_once(
-                x, y0, n_clusters=n_clusters, iters=iters, workers=w,
-                executor="serial", seed=seed, reduce_topology=topology)
-            reduce_curve.append({
-                "workers": w,
-                "workers_effective": km_t.n_workers_,
-                "topology": topology,
-                "wall_s": wall_t,
-                "reduce_busy_s": km_t.dist_reduce_busy_s_,
-                "reduce_busy_per_round_s": (
-                    km_t.dist_reduce_busy_s_ / max(1, km_t.n_iter_)),
-                "bit_identical_vs_single": bool(
-                    np.array_equal(km_t.labels_, base[0].labels_)
-                    and np.array_equal(km_t.cluster_centers_,
-                                       base[0].cluster_centers_)),
-                "metrics": km_t.dist_metrics_,
-            })
-    widest = max(reduce_workers_grid)
-    auto_km, _ = _fit_once(
-        x, y0, n_clusters=n_clusters, iters=iters, workers=widest,
-        executor="serial", seed=seed, reduce_topology="auto")
-    reduce = {
-        "m": x.shape[0],
-        "executor": "serial",
-        "workers_grid": list(reduce_workers_grid),
-        "single_wall_s": single_wall,
-        "auto_resolved": {"workers": widest,
-                          "workers_effective": auto_km.n_workers_,
-                          "topology": auto_km.dist_reduce_topology_},
-        "curve": reduce_curve,
-    }
-
     return {
         "bench": "dist_scaling",
         "schema": SCHEMA,
@@ -535,7 +472,6 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
             "executor": executor, "workers_grid": list(workers_grid),
             "seed": seed, "checkpoint_every": checkpoint_every,
             "round_timeout": round_timeout,
-            "reduce_workers_grid": list(reduce_workers_grid),
         },
         "grid": grid,
         "recovery": recovery,
@@ -543,7 +479,6 @@ def run_dist_bench(m_grid=FULL_SHAPE["m_grid"],
         "checkpoint": checkpoint,
         "selfheal": selfheal,
         "trace": trace_summary,
-        "reduce": reduce,
         "transport": transport,
     }
 
@@ -625,22 +560,6 @@ def _summarise(record: dict) -> str:
             f"{tp['gather_bytes_reduction']:.0f}x less on the pipes), "
             f"{tp['shm_broadcast_bytes_per_round_worker']:.0f} B/round/worker"
             f", bit-identical {tp['bit_identical_shm_vs_pipe']}")
-    red = record.get("reduce")
-    if red:
-        by_workers = {}
-        for row in red["curve"]:
-            by_workers.setdefault(row["workers"], {})[row["topology"]] = row
-        for w, cells in sorted(by_workers.items()):
-            lines.append(
-                f"  reduce W={w}: " + " | ".join(
-                    f"{t} busy {cells[t]['reduce_busy_s'] * 1e3:.2f} ms"
-                    f" (bit-identical {cells[t]['bit_identical_vs_single']})"
-                    for t in ("star", "stream", "tree") if t in cells))
-        auto = red["auto_resolved"]
-        lines.append(
-            f"  reduce auto: {auto['workers']} workers "
-            f"({auto['workers_effective']} effective) -> "
-            f"{auto['topology']}")
     return "\n".join(lines)
 
 

@@ -11,15 +11,11 @@ self-healing run (appending to ``BENCH_dist.json``) — suitable as a
 tier-1 perf canary.  The self-healing record's per-recovered-round
 overhead and the fast-path record's bound-pruned assignment wall (plus
 its final ``active_frac``) are gated against the best prior same-host,
-same-shape entry just like the fast-path wall.  The reduce-topology
-curve (schema v6) is gated too: every cell must stay bit-identical to
-the single-worker fit, star occupancy must sit above stream and tree
-at the widest fleet, and stream/tree occupancy must not regress
-against the best prior entry.  The transport record (schema v7) is
-gated as well: the shared-memory fit must stay bit-identical to the
-pipe fit and the single-worker baseline, its pipe traffic must stay
-control-token-sized, and its wall must not regress against the best
-prior entry.  ``--trace-out`` forwards a trace output path to the dist
+same-shape entry just like the fast-path wall.  The transport record
+(schema v7) is gated as well: the shared-memory fit must stay
+bit-identical to the pipe fit and the single-worker baseline, its pipe
+traffic must stay control-token-sized, and its wall must not regress
+against the best prior entry.  ``--trace-out`` forwards a trace output path to the dist
 smoke (a ``.jsonl`` suffix streams spans live as each closes; any
 other suffix writes a post-hoc Chrome trace
 JSON).  Unrecognised arguments after ``--smoke`` are forwarded to
@@ -58,7 +54,7 @@ from repro.bench import analysis, figures
 from repro.bench.tables import print_figure
 
 __all__ = ["all_figures", "check_fastpath_regression",
-           "check_pruning_regression", "check_reduce_scaling",
+           "check_pruning_regression",
            "check_selfheal_regression", "check_stale_report",
            "check_transport", "main"]
 
@@ -209,79 +205,6 @@ def check_selfheal_regression(record: dict, path, *,
             f"({best:.3f} s) in {path.name}")
     return (f"selfheal check ok: recovered-round overhead {fresh:.3f} s "
             f"vs best prior {best:.3f} s")
-
-
-def check_reduce_scaling(record: dict, path, *,
-                         slack: float = REGRESSION_SLACK) -> str:
-    """Gate the reduce-topology coordinator-occupancy curve (schema v6).
-
-    Two gates on the fresh record alone: every curve cell must be
-    bit-identical to the single-worker fit, and at the widest fleet
-    with at least 8 workers the star topology's ``reduce_busy_s`` must
-    sit strictly above both stream and tree — the whole point of the
-    alternate topologies.  Then stream and tree occupancy at the widest
-    fleet are compared against the best prior same-host, same-shape
-    entry with the usual slack; a 0.01 s noise floor keeps
-    millisecond-scale occupancies from tripping on scheduler jitter.
-    Raises :class:`SystemExit` on a violation, returns a verdict line
-    otherwise.
-    """
-    red = record.get("reduce")
-    if not red or not red.get("curve"):
-        return "reduce check skipped: record has no reduce curve"
-    by_workers: dict = {}
-    for row in red["curve"]:
-        by_workers.setdefault(row["workers"], {})[row["topology"]] = row
-    bad = [f"{r['topology']}@W={r['workers']}" for r in red["curve"]
-           if not r["bit_identical_vs_single"]]
-    if bad:
-        raise SystemExit(
-            f"REDUCE REGRESSION: topologies {', '.join(bad)} are no "
-            f"longer bit-identical to the single-worker fit")
-    widest = max(by_workers)
-    cells = by_workers[widest]
-    star = cells["star"]["reduce_busy_s"]
-    if widest >= 8:
-        slower = [t for t in ("stream", "tree")
-                  if cells[t]["reduce_busy_s"] >= star]
-        if slower:
-            raise SystemExit(
-                f"REDUCE REGRESSION: {', '.join(slower)} coordinator "
-                f"occupancy at {widest} workers is not below star "
-                f"({star * 1e3:.2f} ms) — the reduce topologies have "
-                f"stopped paying for themselves")
-    path = Path(path)
-    try:
-        entries = json.loads(path.read_text()).get("entries", [])
-    except (OSError, json.JSONDecodeError):
-        return ("reduce check ok (fresh record only): no readable "
-                "trajectory")
-    shape = {k: record["config"][k] for k in _DIST_SHAPE_KEYS}
-    prior = [e["reduce"] for e in entries[:-1]
-             if e.get("host") == record.get("host")
-             and e.get("reduce", {}).get("curve")
-             and all(e.get("config", {}).get(k) == v
-                     for k, v in shape.items())
-             and e["reduce"].get("workers_grid") == red["workers_grid"]]
-    if not prior:
-        return ("reduce check ok (fresh record only): no prior "
-                "same-host entry at this shape")
-    verdicts = []
-    for topology in ("stream", "tree"):
-        best = min(
-            row["reduce_busy_s"] for p in prior for row in p["curve"]
-            if row["workers"] == widest and row["topology"] == topology)
-        fresh = cells[topology]["reduce_busy_s"]
-        if fresh > slack * max(best, 0.01):
-            raise SystemExit(
-                f"REDUCE REGRESSION: {topology} occupancy at {widest} "
-                f"workers {fresh * 1e3:.2f} ms exceeds {slack:.2f}x the "
-                f"best prior same-shape entry ({best * 1e3:.2f} ms) in "
-                f"{path.name}")
-        verdicts.append(f"{topology} {fresh * 1e3:.2f} ms "
-                        f"(best prior {best * 1e3:.2f} ms)")
-    return (f"reduce check ok at {widest} workers: star "
-            f"{star * 1e3:.2f} ms above " + ", ".join(verdicts))
 
 
 def check_transport(record: dict, path, *,
@@ -448,8 +371,6 @@ def main(argv=None) -> None:
                    else []))
             if dist_out != "-" and not args.no_regression_check:
                 print("  " + check_selfheal_regression(
-                    dist_record, dist_out, slack=args.regression_slack))
-                print("  " + check_reduce_scaling(
                     dist_record, dist_out, slack=args.regression_slack))
                 print("  " + check_transport(
                     dist_record, dist_out, slack=args.regression_slack))

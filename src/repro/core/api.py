@@ -99,12 +99,9 @@ class FTKMeans:
     plus the checkpoint-overhead split ``dist_checkpoint_save_s_``
     (in-loop save cost: full writes when ``checkpoint_sync=True``,
     snapshot+enqueue when async) and ``dist_checkpoint_flush_s_`` (the
-    end-of-fit flush barrier of the async writer), the reduce-topology
-    pair ``dist_reduce_topology_`` (the resolved topology of the fit's
-    last round — see ``reduce_topology`` in
-    :class:`~repro.core.config.KMeansConfig`) and ``dist_reduce_busy_s_``
-    (coordinator occupancy of the reduce: wall seconds of merge work
-    not hidden under still-computing workers), the transport quartet
+    end-of-fit flush barrier of the async writer),
+    ``dist_reduce_busy_s_`` (coordinator occupancy of the reduce: wall
+    seconds of the gather and merge stages), the transport quartet
     ``dist_transport_`` (the resolved round-loop transport, 'pipe' or
     'shm' — see ``transport`` in
     :class:`~repro.core.config.KMeansConfig`),
@@ -150,7 +147,6 @@ class FTKMeans:
                  round_timeout=None, elastic: bool = False,
                  target_workers: int | None = None, hot_spares: int = 0,
                  heartbeat_interval: float | None = None,
-                 reduce_topology: str = "auto",
                  transport: str = "auto",
                  reassignment_mode: str = "deterministic",
                  reassignment_ratio: float = 0.01,
@@ -172,7 +168,6 @@ class FTKMeans:
             round_timeout=round_timeout, elastic=elastic,
             target_workers=target_workers, hot_spares=hot_spares,
             heartbeat_interval=heartbeat_interval,
-            reduce_topology=reduce_topology,
             transport=transport,
             reassignment_mode=reassignment_mode,
             reassignment_ratio=reassignment_ratio,
@@ -388,7 +383,6 @@ class FTKMeans:
         self.dist_checkpoint_save_s_ = res.checkpoint_save_s
         self.dist_checkpoint_flush_s_ = res.checkpoint_flush_s
         self.dist_reduce_busy_s_ = res.reduce_busy_s
-        self.dist_reduce_topology_ = res.reduce_topology
         self.dist_transport_ = res.transport
         self.dist_broadcast_bytes_ = res.broadcast_bytes
         self.dist_gather_bytes_ = res.gather_bytes

@@ -12,8 +12,7 @@ from repro.gemm.tiling import TileConfig
 from repro.gpusim.device import DeviceSpec, get_device
 
 __all__ = ["KMeansConfig", "VARIANT_NAMES", "MODES", "UPDATE_MODES",
-           "EXECUTORS", "REASSIGNMENT_MODES", "PRUNE_MODES",
-           "REDUCE_TOPOLOGIES", "TRANSPORTS"]
+           "EXECUTORS", "REASSIGNMENT_MODES", "PRUNE_MODES", "TRANSPORTS"]
 
 #: assignment-stage implementations, in the paper's optimisation order
 VARIANT_NAMES = ("naive", "v1", "v2", "v3", "tensorop", "ft")
@@ -27,11 +26,6 @@ UPDATE_MODES = ("auto", "oneshot", "streamed")
 
 #: executor backends of the sharded multi-worker layer (repro.dist)
 EXECUTORS = ("serial", "thread", "process")
-
-#: reduce topologies of the sharded coordinator ('auto' resolves per
-#: effective worker count: 'tree' on wide fleets, 'stream' mid-size,
-#: 'star' for small ones)
-REDUCE_TOPOLOGIES = ("auto", "star", "stream", "tree")
 
 #: bulk-payload transports of the sharded round loop ('auto' resolves
 #: per executor: the zero-copy shared-memory plane on the process
@@ -190,19 +184,6 @@ class KMeansConfig:
         dead worker's shard skips the child cold-start; in-process
         backends treat a spare as a promotion token.  The pool is
         re-provisioned after every promotion/expansion.
-    reduce_topology:
-        With ``n_workers > 1``: how the coordinator reduces the
-        workers' per-shard partial sums each round.  'star' (legacy)
-        gathers every partial and re-feeds all rows sequentially after
-        the full collect; 'stream' starts the same sequential re-feed
-        as shard results *arrive* (committing strictly in shard order,
-        so merge time hides under the slowest worker); 'tree' pushes
-        the reduce onto the workers — pairwise continuation combines
-        along the shard order, so the coordinator only adopts the final
-        state.  All three produce bit-identical centroids (the float
-        association never changes; see ``docs/distributed.md``).
-        'auto' (default) picks 'tree' for 8+ workers, 'stream' for
-        3-7 and 'star' below.
     transport:
         With ``n_workers > 1``: how the round loop's bulk payloads
         move between the coordinator and the workers.  'pipe' pickles
@@ -217,8 +198,8 @@ class KMeansConfig:
         buffer instead of W pipe sends, and labels/distances/partials
         come back through per-worker shared slots — the pipes carry
         only control/ack tokens.  Both transports are bit-identical to
-        each other and to ``n_workers=1`` for every topology ×
-        membership history.  'auto' (default) picks 'shm' on the
+        each other and to ``n_workers=1`` for every membership
+        history.  'auto' (default) picks 'shm' on the
         process executor (falling back to 'pipe' with a warning if
         segment creation fails) and 'pipe' elsewhere; an explicit
         'shm' raises instead of falling back.
@@ -270,7 +251,6 @@ class KMeansConfig:
     target_workers: int | None = None
     hot_spares: int = 0
     heartbeat_interval: float | None = None
-    reduce_topology: str = "auto"
     transport: str = "auto"
     reassignment_mode: str = "deterministic"
     reassignment_ratio: float = 0.01
@@ -373,10 +353,6 @@ class KMeansConfig:
                 raise ValueError(
                     f"heartbeat_interval must be > 0, "
                     f"got {self.heartbeat_interval}")
-        if self.reduce_topology not in REDUCE_TOPOLOGIES:
-            raise ValueError(
-                f"unknown reduce_topology {self.reduce_topology!r}; "
-                f"choose from {REDUCE_TOPOLOGIES}")
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r}; "
@@ -413,32 +389,6 @@ class KMeansConfig:
         if self.update_mode != "auto":
             return self.update_mode
         return "streamed" if self.mode == "fast" else "oneshot"
-
-    def resolved_reduce_topology(self, n_workers: int | None = None) -> str:
-        """The effective coordinator reduce topology ('auto' resolved).
-
-        Parameters
-        ----------
-        n_workers : int, optional
-            Effective worker count to resolve 'auto' against (a shrunk
-            fleet may differ from the configured ``n_workers``);
-            defaults to the configured count.
-
-        Returns
-        -------
-        str
-            'tree' for 8+ workers, 'stream' for 3-7, 'star' below when
-            ``reduce_topology='auto'``; otherwise ``reduce_topology``
-            verbatim.
-        """
-        if self.reduce_topology != "auto":
-            return self.reduce_topology
-        w = self.n_workers if n_workers is None else int(n_workers)
-        if w >= 8:
-            return "tree"
-        if w >= 3:
-            return "stream"
-        return "star"
 
     def resolved_transport(self, executor: str | None = None) -> str:
         """The effective round-loop transport ('auto' resolved).

@@ -10,12 +10,9 @@ the failure class orthogonal to the paper's in-device SEUs.
   round protocol (:func:`make_executor`);
 * :class:`Coordinator` — map-reduce Lloyd with a sequential-continuation
   merge (bit-identical to single-worker for any shard count *and any
-  membership history*), selectable reduce topology (``star`` /
-  ``stream`` / ``tree`` / ``auto``, all bit-identical; see
-  :func:`combine_schedule` for the pairwise tree), an ABFT checksum
-  over the merged partials, checkpoint/restart recovery, round-deadline
-  stall detection (:class:`WorkerStall`) and elastic
-  shrink-onto-survivors recovery;
+  membership history*), an ABFT checksum over the merged partials,
+  checkpoint/restart recovery, round-deadline stall detection
+  (:class:`WorkerStall`) and elastic shrink-onto-survivors recovery;
 * :class:`FleetManager` — self-healing membership: between-round
   heartbeats, hot-spare promotion, and shrink → re-expand back to the
   target fleet size (bit-identical across any membership history);
@@ -37,7 +34,7 @@ in ``docs/distributed.md``.
 """
 
 from repro.dist.checkpoint import CheckpointStore, WorkerCacheStore
-from repro.dist.coordinator import Coordinator, DistFitResult, ReduceOccupancy
+from repro.dist.coordinator import Coordinator, DistFitResult
 from repro.dist.fleet import FleetManager
 from repro.dist.executors import (
     BaseExecutor,
@@ -52,15 +49,12 @@ from repro.dist.faults import (
     WorkerFaultPlan,
     WorkerStall,
 )
-from repro.dist.plan import CombineStep, Shard, ShardPlan, combine_schedule
+from repro.dist.plan import Shard, ShardPlan
 from repro.dist.worker import RoundResult, ShardWorker
 
 __all__ = [
     "ShardPlan",
     "Shard",
-    "CombineStep",
-    "combine_schedule",
-    "ReduceOccupancy",
     "ShardWorker",
     "RoundResult",
     "BaseExecutor",

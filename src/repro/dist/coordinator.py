@@ -49,38 +49,9 @@ fault-injection schedule's semantics byte-for-byte unchanged, and any
 *real* worker loss in an overlapped round surfaces at collect time and
 runs the ordinary recovery path.
 
-**Reduce topologies.**  ``cfg.reduce_topology`` picks how step 3's
-sequential-continuation merge is *scheduled* — never what it computes
-(all topologies produce bit-identical sums, proven by the hypothesis
-suites in ``tests/distributed/test_reduce_topology.py``):
-
-* ``'star'`` — the legacy shape above: collect every result, then
-  re-feed all shards through the coordinator's accumulator.  The
-  coordinator is busy for the whole merge *after* the slowest worker
-  answered.
-* ``'stream'`` — results are consumed in **arrival** order
-  (``collect_round_stream``) but committed strictly in **shard**
-  order: as soon as the next uncommitted shard's result is in, its
-  gather writes and merge re-feed run while later workers still
-  compute.  Only the commit remainder past the last arrival occupies
-  the coordinator.
-* ``'tree'`` — workers combine partial fold states pairwise in
-  continuation order (:func:`repro.dist.plan.combine_schedule`): each
-  combine seeds the owner's accumulator with the prefix state and
-  folds the next row range in order, so ``ceil(log2 W)`` message
-  exchanges replace ``W`` coordinator-side merge segments.  The
-  coordinator's reduce work shrinks to the gather, the final-state
-  adopt and an inline pre-update ABFT checksum (on alarm it falls
-  back to the authoritative star re-feed and the standard per-shard
-  localization).
-* ``'auto'`` (default) — ``'tree'`` at 8+ workers, ``'stream'`` at
-  3–7, ``'star'`` below, resolved per round against the current
-  plan's effective worker count.
-
-``DistFitResult.reduce_busy_s`` reports the coordinator occupancy of
-the chosen topology: reduce work counts only insofar as it extends
-past the round's last result arrival (work hidden under a still-
-computing worker is free).
+``DistFitResult.reduce_busy_s`` reports the coordinator's reduce
+occupancy: the wall seconds of the gather and merge stages, summed over
+the fit's completed rounds.
 
 **Failure detection and elastic membership.**  ``round_timeout`` arms
 the executors' round deadline: a worker that has not answered in time
@@ -142,10 +113,10 @@ from repro.core.engine import resolve_operand_budget, transpose_blocked
 from repro.core.update import UpdateStage
 from repro.core.variants import _resolve_tile, build_assignment
 from repro.dist.checkpoint import CheckpointStore, WorkerCacheStore
-from repro.dist.executors import BaseExecutor, make_executor
+from repro.dist.executors import DISCARD_TIMEOUT, BaseExecutor, make_executor
 from repro.dist.faults import WorkerCrash, WorkerFaultInjector
 from repro.dist.fleet import FleetManager
-from repro.dist.plan import ShardPlan, combine_schedule
+from repro.dist.plan import ShardPlan
 from repro.dist.shm import ShmSession
 from repro.dist.worker import RoundResult, build_worker
 from repro.gpusim.clock import SimClock
@@ -154,8 +125,7 @@ from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import active_tracer
 
-__all__ = ["Coordinator", "DistFitResult", "ReduceOccupancy",
-           "PARTIAL_CHECK_RTOL"]
+__all__ = ["Coordinator", "DistFitResult", "PARTIAL_CHECK_RTOL"]
 
 #: relative threshold of the merged-partials checksum test.  Clean runs
 #: differ from the sequential merge only by float64 re-association
@@ -191,49 +161,12 @@ class DistFitResult:
     promotions: int = 0                  # dead ids healed by hot spares
     expands: int = 0                     # workers regrown toward target
     heartbeat_failures: int = 0          # losses caught by heartbeat
-    reduce_busy_s: float = 0.0           # coordinator reduce occupancy
-    reduce_topology: str = "star"        # resolved topology (last round)
+    reduce_busy_s: float = 0.0           # coordinator gather + merge wall
     transport: str = "pipe"              # resolved round-loop transport
     broadcast_bytes: int = 0             # pipe bytes coordinator->workers
     gather_bytes: int = 0                # pipe bytes workers->coordinator
     boot_stats: dict = field(default_factory=dict)  # boot walls by kind
     metrics: dict = field(default_factory=dict)  # per-fit registry delta
-
-
-class ReduceOccupancy:
-    """Wall seconds of reduce work on the coordinator's critical path.
-
-    A reduce segment costs occupancy only insofar as it extends past
-    the round's **last result arrival** — commit work done while
-    workers still compute hides under the slowest worker and is free.
-    Per round: :meth:`begin_round`, :meth:`arrival` at each result
-    arrival, :meth:`segment` after each coordinator-side reduce
-    segment; :meth:`end_round` folds
-    ``sum(max(0, t1 - max(t0, t_last)))`` over the round's segments
-    into :attr:`busy_s`.  Blocking waits (collect, combine round
-    trips) are never recorded — they are worker time, not coordinator
-    work.
-    """
-
-    def __init__(self):
-        self.busy_s = 0.0
-        self._segments: list[tuple[float, float]] = []
-        self._t_last = 0.0
-
-    def begin_round(self) -> None:
-        self._segments = []
-        self._t_last = 0.0
-
-    def arrival(self) -> None:
-        self._t_last = time.monotonic()
-
-    def segment(self, t0: float) -> None:
-        self._segments.append((t0, time.monotonic()))
-
-    def end_round(self) -> None:
-        t_last = self._t_last
-        self.busy_s += sum(max(0.0, t1 - max(t0, t_last))
-                           for t0, t1 in self._segments)
 
 
 def _boot_stats(events: list[dict]) -> dict:
@@ -355,10 +288,8 @@ class Coordinator:
     ADAPTIVE_MIN_SAMPLES = 2
 
     #: recv bound (seconds) for draining a speculative round whose
-    #: results are being discarded (convergence landed first) when no
-    #: round deadline is configured — a worker that wedges during that
-    #: round must not hang a fit whose result already exists
-    DISCARD_TIMEOUT = 5.0
+    #: results are being discarded when no round deadline is configured
+    DISCARD_TIMEOUT = DISCARD_TIMEOUT
 
     def __init__(self, cfg: KMeansConfig, *,
                  executor: str | BaseExecutor | None = None,
@@ -478,14 +409,6 @@ class Coordinator:
         plan = self.plan or ShardPlan.build(m, cfg.n_workers,
                                             probe.engine.unit_rows)
         base_seed = cfg.seed if cfg.seed is not None else 0
-
-        # tree rounds need the workers' fold states on every result;
-        # membership can only shrink below (or regrow back to) the
-        # initial plan, so the initial resolution decides once per fit
-        # whether any round of this fit can be a tree round
-        export_state = (cfg.reduce_topology == "tree"
-                        or (cfg.reduce_topology == "auto"
-                            and plan.n_workers >= 8))
         # refresh the shard operand-cache entry once per recovery
         # window, so a replacement booting after a *late* crash still
         # preloads even if compaction evicted the boot-time entry
@@ -523,23 +446,20 @@ class Coordinator:
         # hundred bytes and attaches the shard as a view in O(1).
         def make_factory(p: ShardPlan):
             if shm_session is not None:
-                shm_session.make_slots(p, n_clusters, k, cfg.dtype,
-                                       export_state)
+                shm_session.make_slots(p, n_clusters, k, cfg.dtype)
                 return partial(build_worker, plan=p, cfg=worker_cfg,
                                n_clusters=n_clusters,
                                data_ref=shm_session.data_ref,
                                weight_ref=shm_session.weight_ref,
                                base_seed=base_seed,
                                cache_store=self.worker_cache,
-                               cache_refresh_every=cache_refresh_every,
-                               export_state=export_state)
+                               cache_refresh_every=cache_refresh_every)
             return partial(build_worker, x=x, plan=p, cfg=worker_cfg,
                            n_clusters=n_clusters,
                            sample_weight=sample_weight,
                            base_seed=base_seed,
                            cache_store=self.worker_cache,
-                           cache_refresh_every=cache_refresh_every,
-                           export_state=export_state)
+                           cache_refresh_every=cache_refresh_every)
 
         factory = make_factory(plan)
 
@@ -608,11 +528,8 @@ class Coordinator:
         overlap = (self.overlap_rounds and self.faults is None
                    and getattr(self.executor, "supports_overlap", False))
         round_times: deque[float] = deque(maxlen=self.ADAPTIVE_WINDOW)
-        occ = ReduceOccupancy()
-        # re-resolved per round against the plan the round ran on (an
-        # elastic shrink can cross an 'auto' threshold mid-fit); this
-        # initial value only seeds the result field for 0-round fits
-        topology = cfg.resolved_reduce_topology(plan.n_workers)
+        # coordinator reduce cost: gather + merge wall, summed over rounds
+        reduce_busy_s = 0.0
 
         # the fit span brackets the whole round loop including the
         # shutdown/flush tail; opened by hand (not ``with``) so the
@@ -649,85 +566,17 @@ class Coordinator:
                                         "broadcast_bytes", 0) - b0)
                     pending = (it, directives, t_send, plan)
                 cur, directives, t_send, cur_plan = pending
-                topology = cfg.resolved_reduce_topology(cur_plan.n_workers)
-                occ.begin_round()
                 g0 = getattr(self.executor, "gather_bytes", 0)
-                abft_done = False
-                round_span = None
                 try:
-                    if topology == "stream":
-                        # arrival-ordered consume, shard-ordered commit:
-                        # the per-shard merge spans nest under the
-                        # compute span they genuinely overlap
-                        with tr.span("compute", iteration=int(cur)):
-                            results = self._stream_reduce(
-                                cur_plan, x, labels, best, counters,
-                                clock, merge_acc, occ, tr)
-                        merged = merge_acc.packed()
-                    else:
-                        with tr.span("compute", iteration=int(cur)):
-                            results = self.executor.collect_round()
-                        occ.arrival()
+                    with tr.span("compute", iteration=int(cur)):
+                        results = self.executor.collect_round()
                     # between-round liveness sweep (rate-limited): a
                     # worker that answered its round but wedged after
                     # is caught here, not one full round budget later.
                     # No round is in flight at this point — the next
                     # speculative send happens after the merge.
                     self.fleet.maybe_heartbeat(cur)
-                    if topology != "stream":
-                        # the ``round`` span covers the coordinator-side
-                        # stages of an answered round (gather -> reduce
-                        # -> update -> tail); stream rounds open it
-                        # after the try — their gather/merge already
-                        # streamed under the compute span
-                        round_span = tr.span("round", iteration=int(cur))
-                        round_span.__enter__()
-                        # -- gather (worker order == sample order) -----
-                        with tr.span("gather") as sp:
-                            t0 = time.monotonic()
-                            for res, shard in zip(results,
-                                                  cur_plan.shards):
-                                labels[shard.lo:shard.hi] = res.labels
-                                best[shard.lo:shard.hi] = res.best
-                                counters.merge(res.counters)
-                            self._charge_round(clock, results)
-                            occ.segment(t0)
-                            if sp is not None:
-                                sp.meta["payload_bytes"] = (
-                                    getattr(self.executor,
-                                            "gather_bytes", 0) - g0)
-                        if topology == "tree":
-                            # pairwise combine tree on the workers; a
-                            # mid-combine death routes into the same
-                            # recovery handler as a round death
-                            merged = self._tree_reduce(
-                                results, cur_plan, labels, merge_acc,
-                                occ, tr, cur)
-                            # inline pre-update checksum: the combine
-                            # chain ran on workers, so its output is
-                            # vetted before the update adopts it
-                            counters.checksum_tests += 1
-                            with tr.span("abft_check"):
-                                t0 = time.monotonic()
-                                merged = self._tree_check(
-                                    merged, results, cur_plan, x,
-                                    labels, sample_weight, merge_acc,
-                                    faults_seen, trace, cur)
-                                occ.segment(t0)
-                            abft_done = True
-                        else:
-                            # -- sequential-continuation merge (star) --
-                            with tr.span("merge"):
-                                t0 = time.monotonic()
-                                merge_acc.reset()
-                                for shard in cur_plan.shards:
-                                    merge_acc.feed(x[shard.slice],
-                                                   labels[shard.slice])
-                                merged = merge_acc.packed()
-                                occ.segment(t0)
                 except WorkerCrash as crash:
-                    if round_span is not None:
-                        round_span.__exit__(None, None, None)
                     pending = None
                     recoveries += 1
                     crash_workers_lost += len(crash.crashed_ids)
@@ -828,15 +677,31 @@ class Coordinator:
                     rec_span.__exit__(None, None, None)
                     continue
                 pending = None
-                round_times.append(time.monotonic() - t_send)
-                occ.end_round()
-                if round_span is None:
-                    # stream round: the reduce streamed under compute,
-                    # so the round span brackets update + tail only.
-                    # Under double buffering the *next* round's
-                    # broadcast nests here, where it genuinely happens.
-                    round_span = tr.span("round", iteration=int(cur))
-                    round_span.__enter__()
+                # the ``round`` span covers the coordinator-side stages
+                # of an answered round (gather -> merge -> update ->
+                # tail)
+                round_span = tr.span("round", iteration=int(cur))
+                round_span.__enter__()
+                t_reduce = time.monotonic()
+                # -- gather (worker order == sample order) -------------
+                with tr.span("gather") as sp:
+                    for res, shard in zip(results, cur_plan.shards):
+                        labels[shard.lo:shard.hi] = res.labels
+                        best[shard.lo:shard.hi] = res.best
+                        counters.merge(res.counters)
+                    self._charge_round(clock, results)
+                    if sp is not None:
+                        sp.meta["payload_bytes"] = (
+                            getattr(self.executor, "gather_bytes", 0) - g0)
+                # -- sequential-continuation merge ----------------------
+                with tr.span("merge"):
+                    merge_acc.reset()
+                    for shard in cur_plan.shards:
+                        merge_acc.feed(x[shard.slice], labels[shard.slice])
+                    merged = merge_acc.packed()
+                t_merged = time.monotonic()
+                reduce_busy_s += t_merged - t_reduce
+                round_times.append(t_merged - t_send)
 
                 # -- the exact single-device update + convergence ------
                 with tr.span("update"):
@@ -883,12 +748,11 @@ class Coordinator:
 
                 # -- off-critical tail ---------------------------------
                 self._count_directives(faults_seen, trace, directives, cur)
-                if not abft_done:
-                    counters.checksum_tests += 1
-                    with tr.span("abft_check"):
-                        self._check_partials(merged, results, cur_plan, x,
-                                             labels, sample_weight,
-                                             faults_seen, trace, cur)
+                counters.checksum_tests += 1
+                with tr.span("abft_check"):
+                    self._check_partials(merged, results, cur_plan, x,
+                                         labels, sample_weight,
+                                         faults_seen, trace, cur)
                 best64 = best.astype(np.float64)
                 inertia = float(np.sum(best64 * sample_weight)
                                 if sample_weight is not None
@@ -911,11 +775,13 @@ class Coordinator:
                 # a speculative round was in flight when the fit ended
                 # (convergence, or an error): nobody wants its results,
                 # so cancel it outright — shutdown follows immediately,
-                # which is the contract cancel_round requires.  Custom
-                # executors without a cancel fall back to a bounded
-                # collect-and-discard drain: with no configured deadline
-                # a worker that wedges during this already-discarded
-                # round would otherwise hang a finished fit forever
+                # which is the contract cancel_round requires.  The
+                # cancel waits (bounded) for in-process round threads,
+                # so none outlives the fit.  Custom executors without a
+                # cancel fall back to a bounded collect-and-discard
+                # drain: with no configured deadline a worker that
+                # wedges during this already-discarded round would
+                # otherwise hang a finished fit forever
                 cancel = getattr(self.executor, "cancel_round", None)
                 if cancel is not None:
                     cancel()
@@ -971,8 +837,7 @@ class Coordinator:
             checkpoint_save_s=ckpt_save_s, checkpoint_flush_s=ckpt_flush_s,
             promotions=self.fleet.promotions, expands=self.fleet.expands,
             heartbeat_failures=heartbeat_failures,
-            reduce_busy_s=occ.busy_s, reduce_topology=topology,
-            transport=transport,
+            reduce_busy_s=reduce_busy_s, transport=transport,
             broadcast_bytes=int(getattr(self.executor,
                                         "broadcast_bytes", 0)),
             gather_bytes=int(getattr(self.executor, "gather_bytes", 0)),
@@ -1013,125 +878,6 @@ class Coordinator:
         slow = max(results, key=lambda r: r.sim_time_s)
         for label, t in slow.timings:
             clock.charge(label, t)
-
-    def _stream_reduce(self, cur_plan: ShardPlan, x: np.ndarray,
-                       labels: np.ndarray, best: np.ndarray,
-                       counters: PerfCounters, clock: SimClock,
-                       merge_acc: StreamedAccumulator,
-                       occ: ReduceOccupancy, tr) -> list[RoundResult]:
-        """The ``'stream'`` topology's collect: arrival-ordered consume,
-        shard-ordered commit.
-
-        Results are buffered as they arrive and committed strictly in
-        shard order — the order the sequential-continuation merge
-        requires, regardless of which worker answered first — so each
-        committed shard's gather writes and merge re-feed overlap the
-        still-computing workers.  The executor raises its round failure
-        only after the stream ends; everything committed by then is
-        discarded through the normal recovery path (the next round
-        resets the accumulator and rewrites the gather arrays).
-
-        Returns the round's results in shard order.
-        """
-        shards = cur_plan.shards
-        arrived: dict[int, RoundResult] = {}
-        results: list[RoundResult] = [None] * len(shards)
-        next_pos = 0
-        merge_acc.reset()
-        for wid, res in self.executor.collect_round_stream():
-            occ.arrival()
-            arrived[wid] = res
-            while (next_pos < len(shards)
-                   and shards[next_pos].worker_id in arrived):
-                shard = shards[next_pos]
-                r = arrived.pop(shard.worker_id)
-                results[next_pos] = r
-                t0 = time.monotonic()
-                with tr.span("merge", worker=int(shard.worker_id),
-                             lo=int(shard.lo), hi=int(shard.hi)):
-                    labels[shard.lo:shard.hi] = r.labels
-                    best[shard.lo:shard.hi] = r.best
-                    counters.merge(r.counters)
-                    merge_acc.feed(x[shard.slice], labels[shard.slice])
-                occ.segment(t0)
-                next_pos += 1
-        if next_pos != len(shards):  # pragma: no cover - defensive
-            raise RuntimeError("round stream ended with uncommitted "
-                               "shards and no failure raised")
-        self._charge_round(clock, results)
-        return results
-
-    def _tree_reduce(self, results: list[RoundResult],
-                     cur_plan: ShardPlan, labels: np.ndarray,
-                     merge_acc: StreamedAccumulator,
-                     occ: ReduceOccupancy, tr, it: int) -> np.ndarray:
-        """The ``'tree'`` topology's reduce: pairwise combines on the
-        workers, in continuation order.
-
-        Worker 0's exported fold state seeds the chain; each
-        :class:`~repro.dist.plan.CombineStep`'s owner extends the
-        prefix over its row range (level 1 folds the owner's own shard
-        from its cached labels; deeper levels ship the gathered label
-        slice).  The coordinator's only reduce work is adopting the
-        final state — the combines themselves are worker time, like
-        the round's compute.  A worker dying mid-combine raises
-        :class:`WorkerCrash` into the standard recovery path.
-        """
-        by_wid = {res.worker_id: res for res in results}
-        state = by_wid[cur_plan.shards[0].worker_id].state
-        if state is None:  # pragma: no cover - defensive
-            raise RuntimeError("tree reduce needs workers built with "
-                               "export_state=True")
-        for step in combine_schedule(cur_plan):
-            lab = None if step.level == 1 else labels[step.lo:step.hi]
-            with tr.span("combine", level=int(step.level),
-                         lo=int(step.lo), hi=int(step.hi),
-                         owner=int(step.owner_id)):
-                state = self.executor.combine(step.owner_id, state,
-                                              step.lo, step.hi, it, lab)
-        t0 = time.monotonic()
-        merge_acc.reset()
-        merge_acc.merge_from(state)
-        occ.segment(t0)
-        return merge_acc.packed()
-
-    def _tree_check(self, merged: np.ndarray, results: list[RoundResult],
-                    cur_plan: ShardPlan, x: np.ndarray,
-                    labels: np.ndarray,
-                    sample_weight: np.ndarray | None,
-                    merge_acc: StreamedAccumulator, faults_seen: dict,
-                    trace: list[dict], it: int) -> np.ndarray:
-        """Pre-update checksum over tree-combined sums; returns the
-        sums the update may trust.
-
-        Clean rounds return ``merged`` unchanged.  On alarm the
-        coordinator falls back to the authoritative star re-feed — the
-        tree's output is discarded wholesale, so a corruption anywhere
-        in the combine chain is *contained*, not merely detected — and
-        localizes the offender through the standard per-shard recompute
-        (:meth:`_check_partials`).
-        """
-        total = np.zeros_like(merged)
-        for res in results:
-            total += res.partial
-        scale = np.maximum(1.0, np.maximum(np.abs(total), np.abs(merged)))
-        if not (np.abs(total - merged) > self.partial_tol * scale).any():
-            return merged
-        merge_acc.reset()
-        for shard in cur_plan.shards:
-            merge_acc.feed(x[shard.slice], labels[shard.slice])
-        authoritative = merge_acc.packed()
-        if not np.array_equal(authoritative, merged):
-            # the combine chain itself was corrupted (not just a
-            # returned partial copy): the per-shard localization below
-            # cannot see it, so count the containment here
-            faults_seen["detected"] += 1
-            faults_seen["corrected"] += 1
-            trace.append({"kind": "combine_mismatch_detected",
-                          "iteration": it})
-        self._check_partials(authoritative, results, cur_plan, x, labels,
-                             sample_weight, faults_seen, trace, it)
-        return authoritative
 
     @staticmethod
     def _count_directives(faults_seen: dict, trace: list[dict],

@@ -61,29 +61,6 @@ deadline-armed backends the answer deadline starts at ``collect_round``
 (exactly where the legacy combined round started its recv phase), so
 overlapped coordinator work can never eat a worker's round budget.
 
-**Streaming collect.**  ``collect_round_stream()`` yields ``(worker_id,
-result)`` pairs in *arrival* order instead of blocking for the full
-worker-order list — the coordinator's ``'stream'`` reduce topology
-commits each shard's merge work as soon as (in-shard-order) results
-allow, hiding merge time under the slowest worker.  Failure semantics
-are identical to ``collect_round``: every failure of the round is
-collected and one typed exception raised *after* the stream ends, so a
-consumer that buffered early arrivals discards them through the same
-recovery path.  The base implementation degrades to worker order (one
-blocking collect, then yield); backends whose workers genuinely race
-override it with true arrival order.
-
-**Tree combine.**  ``combine(worker_id, seed_state, lo, hi, iteration,
-labels)`` runs one tree-reduce step on the named worker (see
-:meth:`repro.dist.worker.ShardWorker.combine`): the worker seeds an
-accumulator with the prefix fold state and extends it over ``[lo, hi)``.
-On the process backend this is a round-trip message; a child that dies
-mid-combine surfaces as :class:`WorkerCrash` exactly like a round
-death, and a combine that answers past ``round_timeout`` is escalated
-like a round stall.  Worker-side ``ValueError``\\ s (out-of-order
-combine, missing labels) re-raise in the coordinator — they are
-scheduling bugs, not worker faults.
-
 **Membership management.**  The fleet manager
 (:mod:`repro.dist.fleet`) drives four further verbs on top of the round
 protocol:
@@ -107,8 +84,10 @@ protocol:
   set) like ``restart`` but reusing warm children where possible; the
   base implementation simply delegates to ``restart``.
 
-``cancel_round()`` abandons a sent-but-uncollected round without
-waiting for its answers — the speculative round after convergence.
+``cancel_round()`` abandons a sent-but-uncollected round — the
+speculative round after convergence — without collecting its answers:
+process children are killed, thread-backend workers are cancelled and
+their threads joined within :data:`DISCARD_TIMEOUT`.
 """
 
 from __future__ import annotations
@@ -131,6 +110,11 @@ from repro.dist.worker import RoundResult, ShardWorker
 __all__ = ["BaseExecutor", "SerialExecutor", "ThreadExecutor",
            "ProcessExecutor", "make_executor"]
 
+#: bound (seconds) on waiting out a speculative round whose results are
+#: being discarded (convergence landed first) — a worker that wedges
+#: during that round must not hang a fit whose result already exists
+DISCARD_TIMEOUT = 5.0
+
 
 def _pickled_nbytes(obj) -> int:
     """Exact pickled size of a (small) pipe payload."""
@@ -148,8 +132,6 @@ def _result_nbytes(res: RoundResult) -> int:
     for arr in (res.labels, res.best, res.partial):
         if arr is not None:
             n += arr.nbytes
-    if res.state is not None:
-        n += (res.state["sums_t"].nbytes + res.state["counts"].nbytes + 64)
     return n
 
 
@@ -286,28 +268,6 @@ class BaseExecutor(ABC):
         self._stashed_round = None
         return self.run_round(y, iteration, directives)
 
-    def collect_round_stream(self):
-        """Yield ``(worker_id, result)`` in arrival order.
-
-        Base implementation: one blocking :meth:`collect_round`, then
-        worker order (arrival order is unobservable without real
-        concurrency).  Raises exactly like ``collect_round``, after
-        every healthy result has been yielded.
-        """
-        for res in self.collect_round():
-            yield res.worker_id, res
-
-    def combine(self, worker_id: int, seed_state: dict, lo: int, hi: int,
-                iteration: int, labels=None) -> dict:
-        """Run one tree-reduce combine on the named worker.
-
-        Shared in-process implementation: a direct method call (the
-        combine then runs on the coordinator's thread, like the serial
-        backend's rounds).  Returns the extended prefix state.
-        """
-        return self._workers[worker_id].combine(seed_state, lo, hi,
-                                                iteration, labels)
-
     def cancel_round(self) -> None:
         """Abandon a sent-but-uncollected round (no results wanted).
 
@@ -408,39 +368,6 @@ class SerialExecutor(BaseExecutor):
             raise _round_failure(iteration, crashed, stalled,
                                  crash_reason="injected")
         return results
-
-    def collect_round_stream(self):
-        """Yield each worker's result as soon as it is computed.
-
-        Sequential, so "arrival order" is worker order — but yielding
-        per worker (instead of after the full loop) lets the streaming
-        merge interleave with the remaining workers' compute, which is
-        what the ``'stream'`` topology tests on this backend.  A worker
-        classified retroactively stalled is not yielded (its result is
-        doomed to the recovery discard anyway); failures raise after
-        the loop, exactly like :meth:`run_round`.
-        """
-        if self._stashed_round is None:
-            raise RuntimeError("collect_round without a sent round")
-        y, iteration, directives = self._stashed_round
-        self._stashed_round = None
-        crashed, stalled = [], []
-        for wid in self._worker_ids:
-            t0 = time.monotonic()
-            try:
-                res = self._workers[wid].run_round(y, iteration,
-                                                   directives.get(wid))
-            except WorkerCrash:
-                crashed.append(wid)
-                continue
-            if (self.round_timeout is not None
-                    and time.monotonic() - t0 > self.round_timeout):
-                stalled.append(wid)
-                continue
-            yield wid, res
-        if crashed or stalled:
-            raise _round_failure(iteration, crashed, stalled,
-                                 crash_reason="injected")
 
     def heartbeat(self, iteration: int, timeout: float) -> None:
         """Sequential ping of every worker, classified retroactively
@@ -574,65 +501,30 @@ class ThreadExecutor(BaseExecutor):
                                  crash_reason="injected")
         return [results[wid] for wid in self._worker_ids]
 
-    def collect_round_stream(self):
-        """Yield results in true arrival order (done-event polling).
-
-        The same absolute deadline and stall semantics as
-        :meth:`collect_round`: a task still pending at the deadline is
-        marked stalled, cancelled and abandoned; every failure raises
-        in one typed exception after the stream ends.
-        """
-        if self._round_it is None:
-            raise RuntimeError("collect_round without a sent round")
-        iteration, self._round_it = self._round_it, None
-        deadline = (None if self.round_timeout is None
-                    else time.monotonic() + self.round_timeout)
-        pending = dict(self._inflight)
-        crashed, stalled = [], []
-        while pending:
-            fired = [wid for wid, task in pending.items()
-                     if task.done.is_set()]
-            if not fired:
-                if (deadline is not None
-                        and time.monotonic() >= deadline):
-                    for wid in list(pending):
-                        stalled.append(wid)
-                        w = self._workers.get(wid)
-                        if w is not None and hasattr(w, "cancel"):
-                            w.cancel()
-                    pending.clear()
-                    break
-                # wait on an arbitrary pending task with a short slice,
-                # so any *other* task finishing first is picked up
-                # within one slice (there is no wait-any for Events)
-                slice_s = 0.005
-                if deadline is not None:
-                    slice_s = min(slice_s,
-                                  max(0.0, deadline - time.monotonic()))
-                next(iter(pending.values())).done.wait(slice_s)
-                continue
-            for wid in fired:
-                task = pending.pop(wid)
-                if isinstance(task.exc, WorkerCrash):
-                    crashed.append(wid)
-                elif task.exc is not None:
-                    raise task.exc
-                else:
-                    yield wid, task.result
-        if crashed or stalled:
-            raise _round_failure(iteration, crashed, stalled,
-                                 crash_reason="injected")
-
     def run_round(self, y, iteration, directives) -> list[RoundResult]:
         self.send_round(y, iteration, directives)
         return self.collect_round()
 
     def cancel_round(self) -> None:
-        """Abandon the in-flight round: forget it was sent.  The tasks
-        keep running on their daemon threads; teardown (which must
-        follow) already skips closing workers still owned by a running
-        task."""
+        """Abandon the in-flight round and wait for its threads to stop.
+
+        Every in-flight worker is cancelled (its pass stops at the next
+        chunk boundary) and its task joined under one shared
+        :data:`DISCARD_TIMEOUT` deadline, so no round thread outlives
+        the fit that sent it.  A task still running at the deadline is
+        left to teardown (which must follow), and teardown skips closing
+        workers a running task still owns.
+        """
+        if self._round_it is None:
+            return
         self._round_it = None
+        for wid in self._inflight:
+            w = self._workers.get(wid)
+            if w is not None and hasattr(w, "cancel"):
+                w.cancel()
+        deadline = time.monotonic() + DISCARD_TIMEOUT
+        for task in self._inflight.values():
+            task.thread.join(max(0.0, deadline - time.monotonic()))
 
     def heartbeat(self, iteration: int, timeout: float) -> None:
         """Concurrent ping of every worker under one shared deadline.
@@ -674,10 +566,6 @@ _SPARE_READY = "__spare_ready__"
 #: heartbeat reply sentinel
 _PONG = "__pong__"
 
-#: first element of a combine reply carrying a worker-side exception
-#: (ValueError contract violations etc.) back to the coordinator — a
-#: combine has a real return value, so errors need an in-band marker
-_COMBINE_ERR = "__combine_error__"
 
 
 def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
@@ -735,19 +623,6 @@ def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
                 if worker is not None:
                     worker.ping()
                 conn.send(_PONG)
-            elif tag == "combine":
-                _, seed_state, lo, hi, iteration, labels = msg
-                try:
-                    out = worker.combine(seed_state, lo, hi, iteration,
-                                         labels)
-                except WorkerCrash:
-                    os._exit(17)
-                except Exception as exc:
-                    # contract violations (out-of-order seed, missing
-                    # labels) are coordinator bugs: marshal them back to
-                    # re-raise there, instead of dying like a fault
-                    out = (_COMBINE_ERR, exc)
-                conn.send(out)
             elif tag == "shmround":
                 _, bcast_ref, slot_ref, generation, iteration, directive = msg
                 y = _shm_read_broadcast(bcast_ref, generation)
@@ -760,8 +635,7 @@ def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
                 # not a pipe copy); the ack is token-sized
                 _shm_write_slot(slot_ref, result, generation)
                 conn.send(dataclasses.replace(
-                    result, labels=None, best=None, partial=None,
-                    state=None))
+                    result, labels=None, best=None, partial=None))
             else:                              # "round"
                 _, y, iteration, directive = msg
                 try:
@@ -870,7 +744,6 @@ class ProcessExecutor(BaseExecutor):
             res.labels = data["labels"]
             res.best = data["best"]
             res.partial = data["partial"]
-            res.state = data["state"]
         else:
             self.gather_bytes += _result_nbytes(res)
         return res
@@ -1091,85 +964,6 @@ class ProcessExecutor(BaseExecutor):
             raise _round_failure(iteration, crashed, stalled,
                                  crash_reason="worker process died")
         return [results[wid] for wid in self._worker_ids]
-
-    def collect_round_stream(self):
-        """Yield results as their pipes become readable (arrival order).
-
-        The same deadline / drain-bound / escalation ladder as
-        :meth:`collect_round`; failures raise in one typed exception
-        after the stream ends, so a consumer that already committed
-        early arrivals discards them through the normal recovery path.
-        """
-        if self._round_state is None:
-            raise RuntimeError("collect_round without a sent round")
-        iteration, crashed, stalled = self._round_state
-        self._round_state = None
-        deadline = (None if self.round_timeout is None
-                    else time.monotonic() + self.round_timeout)
-        pending = {self._conns[wid]: wid for wid in self._worker_ids
-                   if wid not in crashed and wid in self._conns}
-        while pending:
-            if deadline is not None:
-                timeout = max(0.0, deadline - time.monotonic())
-            elif crashed or stalled:
-                timeout = self.DRAIN_TIMEOUT
-            else:
-                timeout = None
-            ready = conn_wait(list(pending), timeout)
-            if not ready:
-                if deadline is not None:
-                    for conn, wid in list(pending.items()):
-                        self._kill_worker(wid)
-                        stalled.append(wid)
-                pending.clear()
-                break
-            for conn in ready:
-                wid = pending.pop(conn)
-                try:
-                    result = self._hydrate(wid, conn.recv())
-                except (EOFError, OSError):
-                    self._kill_worker(wid)
-                    crashed.append(wid)
-                    continue
-                yield wid, result
-        if crashed or stalled:
-            raise _round_failure(iteration, crashed, stalled,
-                                 crash_reason="worker process died")
-
-    def combine(self, worker_id: int, seed_state: dict, lo: int, hi: int,
-                iteration: int, labels=None) -> dict:
-        """One tree-combine round trip to the named child.
-
-        A broken pipe at either phase is a worker death
-        (:class:`WorkerCrash`); an answer missing past ``round_timeout``
-        escalates the child exactly like a round stall
-        (:class:`WorkerStall`).  Worker-side exceptions arrive marshalled
-        under the ``_COMBINE_ERR`` marker and re-raise here.
-        """
-        conn = self._conns.get(worker_id)
-        if conn is None:
-            raise WorkerCrash(worker_id, iteration,
-                              reason="worker process died")
-        payload = ("combine", seed_state, lo, hi, iteration, labels)
-        # combine traffic stays on the pipe under both transports (an
-        # O(log W) trickle of continuation states, not a bulk payload)
-        # and counts against the same per-fit byte totals
-        self.broadcast_bytes += _pickled_nbytes(payload)
-        try:
-            conn.send(payload)
-            if self.round_timeout is not None:
-                if not conn.poll(self.round_timeout):
-                    self._kill_worker(worker_id)
-                    raise WorkerStall(worker_id, iteration)
-            out = conn.recv()
-        except (BrokenPipeError, EOFError, OSError):
-            self._kill_worker(worker_id)
-            raise WorkerCrash(worker_id, iteration,
-                              reason="worker process died") from None
-        if isinstance(out, tuple) and len(out) == 2 and out[0] == _COMBINE_ERR:
-            raise out[1]
-        self.gather_bytes += _pickled_nbytes(out)
-        return out
 
     def run_round(self, y, iteration, directives) -> list[RoundResult]:
         self.send_round(y, iteration, directives)

@@ -272,9 +272,9 @@ class TestDistSmokeGate:
                      "--report", str(tmp_path / "perf.md"),
                      "--m", "1024", "--iters", "1"])
         doc = json.loads(dist_out.read_text())
-        assert doc["schema"] == "dist_scaling/v7"
+        assert doc["schema"] == "dist_scaling/v8"
         (record,) = doc["entries"]
-        assert record["schema"] == "dist_scaling/v7"
+        assert record["schema"] == "dist_scaling/v8"
         workers = [row["workers"] for row in record["grid"]]
         assert workers == record["config"]["workers_grid"] == [1, 2]
         for row in record["grid"]:
@@ -326,25 +326,9 @@ class TestDistSmokeGate:
         for stage in ("fit", "round", "gather", "merge", "update",
                       "recovery"):
             assert stage in tr["stage_totals"], stage
-        # the reduce topology-occupancy curve of schema v6: every cell
-        # bit-identical, star above stream and tree at the widest fleet
-        red = record["reduce"]
-        assert red["workers_grid"] == record["config"]["reduce_workers_grid"]
-        assert red["single_wall_s"] > 0
-        by_workers = {}
-        for row in red["curve"]:
-            assert row["bit_identical_vs_single"] is True
-            assert row["reduce_busy_s"] >= 0
-            assert row["metrics"]["dist.n_iter"] >= 1
-            by_workers.setdefault(row["workers"], {})[row["topology"]] = row
-        assert all(set(c) == {"star", "stream", "tree"}
-                   for c in by_workers.values())
-        widest = max(by_workers)
-        cells = by_workers[widest]
-        star = cells["star"]["reduce_busy_s"]
-        assert star > cells["stream"]["reduce_busy_s"]
-        assert star > cells["tree"]["reduce_busy_s"]
-        assert red["auto_resolved"]["topology"] == "tree"
+        # schema v8 dropped v6's reduce topology curve
+        assert "reduce" not in record
+        assert "reduce_workers_grid" not in record["config"]
         # the shared-memory transport record of schema v7: bit-identical
         # to the pipe fit, pipe traffic down to control tokens, and the
         # re-expand-visible boot stats on the selfheal record

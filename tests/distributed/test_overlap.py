@@ -9,6 +9,8 @@ arms the executor deadline from a trailing median of observed round
 times and must catch a genuine stall without hand tuning.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,72 @@ class TestOverlap:
         assert seq.converged and ovl.converged
         assert seq.n_iter == ovl.n_iter
         assert np.array_equal(seq.centroids, ovl.centroids)
+
+    def test_converged_thread_fit_leaves_no_round_threads(self):
+        """The speculative round a convergence break leaves in flight
+        is joined before ``fit`` returns: no round thread outlives the
+        fit.  One chunk per shard, so the cooperative cancel cannot cut
+        the pass short — only the join can account for it."""
+        x = np.random.default_rng(0).standard_normal(
+            (20_000, 16)).astype(np.float32)
+        # compared as sets, so an unrelated thread of an earlier test
+        # ending mid-fit cannot mask a leak
+        baseline = set(threading.enumerate())
+        km = FTKMeans(n_clusters=16, n_workers=2, executor="thread",
+                      tol=1e-1, max_iter=30, seed=0,
+                      chunk_bytes=1 << 30).fit(x)
+        assert km.n_iter_ < 30          # converged: a round was in flight
+        assert set(threading.enumerate()) <= baseline
+
+    def test_cancel_round_joins_inflight_threads(self, data):
+        """Driven directly: ``cancel_round`` cancels every in-flight
+        worker and joins its round thread before returning, and leaves
+        no round behind to collect.  Each round is held at a gate a
+        timer opens only after the cancel began, so the threads are
+        still running when it starts."""
+        from functools import partial
+        from types import SimpleNamespace
+
+        from repro.dist.plan import ShardPlan
+        from repro.dist.worker import build_worker
+
+        x = data
+        plan = ShardPlan.build(x.shape[0], 3, 256)
+        ex = make_executor("thread")
+        ex.start(partial(build_worker, x=x, plan=plan,
+                         cfg=_cfg(executor="thread"), n_clusters=6),
+                 plan.worker_ids)
+        gate, cancelled = threading.Event(), []
+
+        def gated(w):
+            def run_round(*args):
+                gate.wait()
+                return w.run_round(*args)
+
+            def cancel():
+                cancelled.append(w)
+                w.cancel()
+            return SimpleNamespace(run_round=run_round, cancel=cancel)
+
+        real = ex._workers
+        try:
+            ex.cancel_round()               # nothing in flight: no-op
+            ex._workers = {wid: gated(w) for wid, w in real.items()}
+            ex.send_round(_y0(x, 6), 1, {})
+            threads = [t.thread for t in ex._inflight.values()]
+            assert len(threads) == plan.n_workers
+            timer = threading.Timer(0.2, gate.set)
+            timer.start()
+            ex.cancel_round()
+            timer.join()
+            assert len(cancelled) == plan.n_workers
+            assert not any(t.is_alive() for t in threads)
+            with pytest.raises(RuntimeError, match="without a sent round"):
+                ex.collect_round()
+        finally:
+            gate.set()
+            ex._workers = real
+            ex.shutdown()
 
     def test_faulty_fits_run_sequentially(self, data):
         """Fault injection disables the pipeline (a converged fit must

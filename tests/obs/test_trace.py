@@ -220,3 +220,31 @@ class TestStreamingSink:
         rec.instant("b")
         rec.close_sink()
         assert not out.exists()
+
+
+class TestChromeTrace:
+    def test_spans_export_as_complete_events(self):
+        ticks = iter(range(100))
+        tr = TraceRecorder(clock=lambda: next(ticks) * 1e-3)
+        with tr.span("fit"):
+            with tr.span("round", iteration=2):
+                pass
+        doc = json.loads(tr.to_chrome_trace())
+        assert doc["displayTimeUnit"] == "ms"
+        events = {e["name"]: e for e in doc["traceEvents"]}
+        assert set(events) == {"fit", "round"}
+        for e in doc["traceEvents"]:
+            assert e["ph"] == "X"
+            assert e["dur"] > 0
+        assert events["round"]["args"] == {"iteration": 2}
+        # timestamps are microseconds on the recorder clock
+        assert events["round"]["ts"] == pytest.approx(1e3)
+
+    def test_file_handle_mode(self, tmp_path):
+        tr = TraceRecorder()
+        with tr.span("fit"):
+            pass
+        out = tmp_path / "trace.json"
+        with open(out, "w") as fh:
+            assert tr.to_chrome_trace(fh) == ""
+        assert json.loads(out.read_text())["traceEvents"]
