@@ -71,9 +71,11 @@ __all__ = ["StreamedAccumulator", "accumulate_oneshot", "accumulate_streamed"]
 
 #: budget for the pooled float64 transpose staging; oversized feeds are
 #: split so the staging never exceeds this (any split gives identical
-#: bits thanks to the continuation trick).  Independent of the engine's
+#: bits thanks to the continuation trick).  2 MiB is 4096-row sub-feeds
+#: at 64 features: the staging stays resident in a 4 MiB L2, where an
+#: 8 MiB staging thrashed it.  Independent of the engine's
 #: ``chunk_bytes``: the update stage owns its own bounded scratch.
-STAGING_BYTES = 8 << 20
+STAGING_BYTES = 2 << 20
 
 #: sub-feed row floor — below this the per-call bincount overhead
 #: dominates, so very wide feature counts trade staging size for speed

@@ -63,6 +63,45 @@ from repro.obs.trace import active_tracer
 __all__ = ["FTKMeans"]
 
 
+class _Live:
+    """A live stream list handed to a :class:`_Snapshot` attribute."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source: list):
+        self.source = source
+
+
+class _Snapshot:
+    """A fitted list attribute that ``partial_fit`` publishes in O(1).
+
+    Copying the stream's whole timing log and inertia history on every
+    ``partial_fit`` made each call cost O(batches seen).  The online
+    step stores a :class:`_Live` handle on the stream's list instead;
+    the first read after a call copies it into a plain list, so readers
+    still get an independent snapshot of the same value.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        try:
+            value = obj.__dict__[self.name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(obj).__name__!r} object has no attribute "
+                f"{self.name!r}") from None
+        if isinstance(value, _Live):
+            value = obj.__dict__[self.name] = list(value.source)
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 class FTKMeans:
     """K-means estimator running on the simulated GPU.
 
@@ -134,6 +173,9 @@ class FTKMeans:
     fleet / coordinator / checkpoint events.  Both stay off the
     picklable worker-shipped config, like ``worker_faults``.
     """
+
+    timing_log_ = _Snapshot()
+    inertia_history_ = _Snapshot()
 
     def __init__(self, n_clusters: int = 8, *, variant: str = "tensorop",
                  dtype="float32", device="a100", mode: str = "fast",
@@ -611,10 +653,10 @@ class FTKMeans:
         self.ewa_inertia_ = state["monitor"].ewa
         # absolute per-batch inertias: same units as inertia_ and as the
         # full-batch fit's history (the monitor's history is per-sample)
-        self.inertia_history_ = list(state["batch_inertias"])
+        self.inertia_history_ = _Live(state["batch_inertias"])
         self.sim_time_s_ = state["clock"].elapsed_s
         self.assignment_time_s_ = state["clock"].total("distance")
-        self.timing_log_ = list(state["clock"].log)
+        self.timing_log_ = _Live(state["clock"].log)
         self.counters_ = state["counters"]
 
     def _reassign_starved(self, x: np.ndarray, best: np.ndarray,

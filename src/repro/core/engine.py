@@ -311,14 +311,14 @@ class FastPathEngine:
         the reference path the fast lane is bit-compared against.
     prune:
         Cross-iteration bound pruning of the assignment GEMM
-        (:mod:`repro.core.bounds`): 'auto' (default, resolves to the
-        O(M) Hamerly bound), 'hamerly', 'elkan' (per-centroid (M, K)
-        bounds, tighter but K x the memory) or 'off'.  Pruning only
-        engages on ``begin_fit`` caches (transient predict/score passes
-        have no cross-round history) and is proven bit-identical to the
-        unpruned path — a row is skipped only when its assigned
-        centroid's bits are frozen and an error-margined lower bound
-        certifies every competitor.
+        (:mod:`repro.core.bounds`): 'auto' (default, resolves to
+        'off'), 'hamerly' (the O(M) Hamerly bound), 'elkan'
+        (per-centroid (M, K) bounds, tighter but K x the memory) or
+        'off'.  Pruning only engages on ``begin_fit`` caches
+        (transient predict/score passes have no cross-round history)
+        and is proven bit-identical to the unpruned path — a row is
+        skipped only when its assigned centroid's bits are frozen and
+        an error-margined lower bound certifies every competitor.
     alloc_hook:
         Optional callable ``(name, nbytes)`` invoked for every scratch /
         buffer allocation the engine makes (allocation-tracking tests).

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import FTKMeans
 from repro.abft.schemes import get_scheme
 from repro.core.accumulate import StreamedAccumulator
 from repro.core.bounds import BoundsState, resolve_prune_mode
@@ -133,13 +134,36 @@ class TestPrunedBitExactness:
         assert fracs[-1] == 0.0                # converged: all pruned
         assert min(fracs) == 0.0
 
-    def test_auto_resolves_to_hamerly(self):
-        assert resolve_prune_mode("auto") == "hamerly"
+    def test_auto_resolves_to_off(self):
+        assert resolve_prune_mode("auto") == "off"
         assert resolve_prune_mode("off") == "off"
+        assert resolve_prune_mode("hamerly") == "hamerly"
         with pytest.raises(ValueError):
             resolve_prune_mode("bogus")
         with pytest.raises(ValueError):
             KMeansConfig(n_clusters=4, prune="bogus")
+
+    @pytest.mark.parametrize("tol", [1e-4, 0.0])
+    def test_default_fit_equals_old_hamerly_default(self, tol):
+        # 'auto' used to mean Hamerly: switching it off must not move a
+        # bit of any fitted output.  Blob-sorted rows with one
+        # overlapped pair, so the Hamerly fit really skips rows.
+        rng = np.random.default_rng(7)
+        centers = (rng.normal(size=(6, 12)) * 8.0).astype(np.float32)
+        centers[1] = centers[0] + 0.4
+        x = np.concatenate([c + rng.normal(scale=0.8, size=(400, 12))
+                            for c in centers]).astype(np.float32)
+        kw = dict(n_clusters=6, seed=1, tol=tol, max_iter=30)
+        default = FTKMeans(**kw).fit(x)
+        hamerly = FTKMeans(prune="hamerly", **kw).fit(x)
+        assert default._assigner.engine.stats.rows_pruned == 0
+        assert hamerly._assigner.engine.stats.rows_pruned > 0
+        assert np.array_equal(default.labels_, hamerly.labels_)
+        assert np.array_equal(default.cluster_centers_.view(np.uint32),
+                              hamerly.cluster_centers_.view(np.uint32))
+        assert default.inertia_ == hamerly.inertia_
+        assert default.inertia_history_ == hamerly.inertia_history_
+        assert default.n_iter_ == hamerly.n_iter_
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**16),

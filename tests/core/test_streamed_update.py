@@ -447,6 +447,49 @@ class TestPartialFit:
         expect = distance_flops(410, 4, 16) / km.assignment_time_s_ / 1e9
         assert km.distance_gflops_() == pytest.approx(expect)
 
+    def test_per_call_work_does_not_grow_with_the_stream(self):
+        """A call reads only what it added to the stream's timing log
+        and inertia history, never the whole of either — yet every
+        published attribute keeps its value and type."""
+
+        class CountingList(list):
+            reads = 0
+
+            def __iter__(self):
+                for item in super().__iter__():
+                    CountingList.reads += 1
+                    yield item
+
+            def __getitem__(self, i):
+                out = super().__getitem__(i)
+                CountingList.reads += len(out) if isinstance(i, slice) else 1
+                return out
+
+        batches = self._blob_batches(8, 64)
+        km = FTKMeans(n_clusters=4, seed=0)
+        km.partial_fit(batches[0])
+        state = km._online_state
+        state["clock"].log = CountingList(state["clock"].log)
+        state["batch_inertias"] = CountingList(state["batch_inertias"])
+        per_call = []
+        for i in range(200):
+            before = CountingList.reads
+            km.partial_fit(batches[i % len(batches)])
+            per_call.append(CountingList.reads - before)
+        assert max(per_call[-20:]) <= max(per_call[:20]) <= 16, per_call
+
+        log = list(state["clock"].log)
+        assert type(km.timing_log_) is list and km.timing_log_ == log
+        assert type(km.inertia_history_) is list
+        assert len(km.inertia_history_) == 201
+        assert km.inertia_history_[-1] == km.inertia_
+        assert km.assignment_time_s_ == sum(
+            dt for label, dt in log if label.startswith("distance"))
+        # a read is a snapshot: later calls do not grow it
+        held = km.inertia_history_
+        km.partial_fit(batches[0])
+        assert len(held) == 201 and len(km.inertia_history_) == 202
+
 
 class TestMinibatchFit:
     def test_fit_with_batch_size(self, data):

@@ -45,9 +45,11 @@ def data():
 
 
 def fit(data, **kw):
+    # pruning is opt-in ('auto' resolves to 'off'): every fit here asks
+    # for Hamerly unless a test overrides it
     x, y0 = data
     base = dict(n_clusters=K, variant="tensorop", seed=3, max_iter=12,
-                tol=0, init_centroids=y0)
+                tol=0, init_centroids=y0, prune="hamerly")
     base.update(kw)
     return FTKMeans(**base).fit(x)
 
@@ -69,7 +71,7 @@ def test_workload_actually_prunes(data):
     """Guard on the fixture: a single engine run over this workload
     must engage pruning (otherwise the dist tests prove nothing)."""
     x, y0 = data
-    eng = FastPathEngine(None, np.float32, tf32=True, prune="auto")
+    eng = FastPathEngine(None, np.float32, tf32=True, prune="hamerly")
     try:
         eng.begin_fit(x, K)
         y = y0.copy()
@@ -232,7 +234,8 @@ class TestWorkerCancellation:
 
     def test_worker_cancel_aborts_assignment(self, data):
         x, y0 = data
-        cfg = KMeansConfig(n_clusters=K, chunk_bytes=8 << 10, seed=0)
+        cfg = KMeansConfig(n_clusters=K, chunk_bytes=8 << 10, seed=0,
+                           prune="hamerly")
         plan = ShardPlan.build(len(x), 1, 256)
         w = build_worker(0, x=x, plan=plan, cfg=cfg, n_clusters=K)
         try:
@@ -249,7 +252,8 @@ class TestWorkerCancellation:
         # daemon thread stops at its first chunk boundary instead of
         # computing the whole shard
         x, y0 = data
-        cfg = KMeansConfig(n_clusters=K, chunk_bytes=8 << 10, seed=0)
+        cfg = KMeansConfig(n_clusters=K, chunk_bytes=8 << 10, seed=0,
+                           prune="hamerly")
         plan = ShardPlan.build(len(x), 2, 256)
         ex = make_executor("thread")
         ex.round_timeout = 0.25
@@ -273,7 +277,8 @@ class TestWorkerCancellation:
         # restart abandons the still-running in-flight tasks; teardown
         # must cancel them so the daemon threads die at the next chunk
         x, y0 = data
-        cfg = KMeansConfig(n_clusters=K, chunk_bytes=8 << 10, seed=0)
+        cfg = KMeansConfig(n_clusters=K, chunk_bytes=8 << 10, seed=0,
+                           prune="hamerly")
         plan = ShardPlan.build(len(x), 2, 256)
         ex = make_executor("thread")
         ex.start(self._factory(x, plan, cfg), plan.worker_ids)
