@@ -567,6 +567,25 @@ _SPARE_READY = "__spare_ready__"
 _PONG = "__pong__"
 
 
+#: seconds between a process worker's checks that its parent is alive
+PARENT_POLL_S = 0.25
+
+#: exit status of a worker whose parent died under it
+_ORPHAN_EXIT = 70
+
+
+def _watch_parent(parent_pid: int) -> None:
+    """Exit the process once ``parent_pid`` is no longer its parent.
+
+    Pipe EOF tells an *idle* worker that the coordinator is gone; a
+    worker wedged inside a round (stalled, or stuck in BLAS) never reads
+    the pipe again.  Re-parenting is the one signal that reaches it, and
+    ``os._exit`` works from any thread whatever the main thread holds.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(PARENT_POLL_S)
+    os._exit(_ORPHAN_EXIT)
+
 
 def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
     """Process-executor child loop: build the worker, answer messages.
@@ -595,7 +614,13 @@ def _child_main(conn, factory, worker_id: int, stale_conns=()) -> None:
     An injected crash hard-exits the process (no exception channel, no
     cleanup) so the parent sees exactly what a real worker death looks
     like: a broken pipe.
+
+    A daemon watchdog thread (:func:`_watch_parent`) hard-exits the
+    child when its parent dies, so a child wedged mid-round cannot
+    outlive the coordinator and keep its shared-memory segments alive.
     """
+    threading.Thread(target=_watch_parent, args=(os.getppid(),),
+                     name="parent-watchdog", daemon=True).start()
     for stale in stale_conns:
         stale.close()
     worker = None

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro import FTKMeans
 from repro.core.config import KMeansConfig
 from repro.dist import WorkerFaultInjector, WorkerFaultPlan
+from repro.dist.executors import PARENT_POLL_S
 from repro.dist.faults import CRASH, WEDGE
 from repro.dist.shm import (
     SEGMENT_PREFIX,
@@ -65,6 +66,41 @@ def shm_entries(prefix=SEGMENT_PREFIX):
         return [e for e in os.listdir("/dev/shm") if e.startswith(prefix)]
     except OSError:  # pragma: no cover - non-Linux fallback
         return []
+
+
+def child_pids(pid):
+    """Pids whose parent is ``pid``, read from ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # the command name may hold spaces: fields resume after its ')'
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def is_resource_tracker(pid):
+    """True when ``pid`` runs multiprocessing's resource tracker."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            return b"resource_tracker" in fh.read()
+    except OSError:
+        return False
+
+
+def alive(pid):
+    """True while ``pid`` runs (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestConfigValidation:
@@ -339,6 +375,73 @@ class TestCleanup:
         finally:
             if proc.poll() is None:  # pragma: no cover - safety net
                 os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=30)
+        assert shm_entries(prefix) == []
+
+    def test_sigkill_with_stalled_worker_reaps_children(self):
+        """SIGKILL the coordinator while worker 0 sleeps inside a round:
+        it never reads its pipe again, so only its parent-death watchdog
+        can end it.  Every child exits within a few poll periods and the
+        segments go with them."""
+        script = (
+            "import numpy as np\n"
+            "from repro.core.api import FTKMeans\n"
+            "from repro.dist import WorkerFaultInjector\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.random((20000, 16), dtype=np.float64)"
+            ".astype('float32')\n"
+            "FTKMeans(n_clusters=8, seed=0, n_workers=2,\n"
+            "         executor='process', transport='shm',\n"
+            "         worker_faults=WorkerFaultInjector.stall_at(\n"
+            "             0, 1, stall_s=600.0),\n"
+            "         max_iter=500, tol=0.0).fit(x)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (str(os.path.join(os.path.dirname(__file__),
+                                              "..", "..", "src"))
+                             + os.pathsep + env.get("PYTHONPATH", ""))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                start_new_session=True)
+        prefix = f"{SEGMENT_PREFIX}-{proc.pid}-"
+        children = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(shm_entries(prefix)) < 4 or len(children) < 2:
+                assert proc.poll() is None, \
+                    "fit finished before its workers stalled"
+                assert time.monotonic() < deadline, \
+                    "workers and shm segments did not appear within 60 s"
+                children = child_pids(proc.pid)
+                time.sleep(0.005)
+            # iteration 0 takes milliseconds at this shape; after this
+            # pause worker 0 sleeps in iteration 1's round
+            time.sleep(1.5)
+            assert proc.poll() is None
+            # both workers and the resource tracker
+            children = child_pids(proc.pid)
+            assert len(children) >= 3, children
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 20 * PARENT_POLL_S + 10.0
+            while [p for p in children if alive(p)] or shm_entries(prefix):
+                assert time.monotonic() < deadline, (
+                    f"orphans {[p for p in children if alive(p)]}, "
+                    f"segments {shm_entries(prefix)} after SIGKILL")
+                time.sleep(0.05)
+        finally:  # pragma: no cover - safety net
+            # workers first: the resource tracker unlinks the segments
+            # once its last client is gone, so it must outlive them
+            trackers = [p for p in children if is_resource_tracker(p)]
+            for pid in [proc.pid] + children:
+                if pid not in trackers and alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while (any(alive(p) for p in trackers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            for pid in trackers:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:
                 proc.wait(timeout=30)
         assert shm_entries(prefix) == []
 
